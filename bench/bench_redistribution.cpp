@@ -12,7 +12,12 @@
 // Reports elements/sec and bytes_copied/element (the rt.bytes_copied
 // counter, which counts payload construction and staging copies but not the
 // final inject) and emits BENCH_redistribution.json for CI to archive.
+//
+// Also times DistArray::inject on the consumer side of a row-block ->
+// column-cyclic coupling as the column count, and with it the number of
+// owned patches, grows (the "patch_location" section).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -236,6 +241,62 @@ KernelCase run_kernel_case(const char* name, Index block_len,
   return kc;
 }
 
+// ---------------------------------------------------------------------------
+// Patch location: inject cost against the number of owned patches
+// ---------------------------------------------------------------------------
+
+/// The consumer side of a 2 -> 2 row-block -> column-cyclic coupling with 64
+/// rows (the benchmark's couple-fine shape at 256 columns): consumer rank 0
+/// owns every other column, one single-column patch each, and a transfer
+/// injects one 32-row region per (producer row block, owned column). The row
+/// count stays fixed, so every inject moves the same 32 elements and only
+/// the number of owned patches the region must be located among grows.
+struct LocateCase {
+  Index columns = 0;
+  std::size_t patches = 0;  // owned patches of the consumer rank
+  double ns_p25 = 0, ns_p50 = 0, ns_p75 = 0;  // per inject call
+};
+
+LocateCase run_locate_case(Index columns) {
+  constexpr Index kRows = 64;
+  constexpr Index kBlock = kRows / 2;  // producer row block
+  auto dst = dad::make_regular(std::vector<AxisDist>{
+      AxisDist::collapsed(kRows), AxisDist::cyclic(columns, 2)});
+  dad::DistArray<double> arr(dst, 0);
+  std::vector<dad::Patch> regions;
+  for (Index r0 = 0; r0 < kRows; r0 += kBlock)
+    for (dad::Patch region : dst->patches_of(0)) {
+      region.lo[0] = r0;
+      region.hi[0] = r0 + kBlock;
+      regions.push_back(region);
+    }
+  const std::vector<double> in(static_cast<std::size_t>(kBlock), 1.0);
+
+  // Each sample is ~4k inject calls (a few milliseconds); the spread of 41
+  // samples is reported as the interquartile range.
+  const int passes =
+      std::max(1, static_cast<int>(4096 / regions.size()));
+  const auto pass = [&] {
+    for (const auto& region : regions) arr.inject(region, in.data());
+  };
+  pass();  // warm up
+  std::vector<double> ns;
+  for (int s = 0; s < 41; ++s) {
+    const double t0 = bench::now_s();
+    for (int p = 0; p < passes; ++p) pass();
+    ns.push_back((bench::now_s() - t0) * 1e9 /
+                 (double(passes) * double(regions.size())));
+  }
+  std::sort(ns.begin(), ns.end());
+  LocateCase lc;
+  lc.columns = columns;
+  lc.patches = dst->patches_of(0).size();
+  lc.ns_p25 = ns[ns.size() / 4];
+  lc.ns_p50 = ns[ns.size() / 2];
+  lc.ns_p75 = ns[3 * ns.size() / 4];
+  return lc;
+}
+
 }  // namespace
 
 int main() {
@@ -290,6 +351,28 @@ int main() {
               "must never lose to the scalar loops) and on the dispatch "
               "counters being exercised.\n");
 
+  // Snapshot the kernel counters before the patch-location injects add to
+  // them.
+  const auto memcpy_bytes = trace::counter("sched.kernel.memcpy_bytes").value();
+  const auto simd_bytes = trace::counter("sched.kernel.simd_bytes").value();
+  const auto scalar_bytes = trace::counter("sched.kernel.scalar_bytes").value();
+
+  std::printf("\n=== Patch location: DistArray::inject on the consumer of a "
+              "2 -> 2 row-block -> column-cyclic coupling (64 rows) ===\n");
+  std::vector<LocateCase> lcases;
+  for (Index columns : {256, 1024, 4096})
+    lcases.push_back(run_locate_case(columns));
+  bench::Table lt({"columns", "owned_patches", "inject_ns_p50",
+                   "inject_ns_p25", "inject_ns_p75"});
+  for (const auto& lc : lcases)
+    lt.row({std::to_string(lc.columns), std::to_string(lc.patches),
+            bench::fmt("%.0f", lc.ns_p50), bench::fmt("%.0f", lc.ns_p25),
+            bench::fmt("%.0f", lc.ns_p75)});
+  lt.print();
+  std::printf("\nShape check: each call moves 32 elements at every column "
+              "count, so ns per call should stay flat as the owned patches "
+              "grow. Reported only, not gated.\n");
+
   std::FILE* f = std::fopen("BENCH_redistribution.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_redistribution.json\n");
@@ -328,14 +411,22 @@ int main() {
   std::fprintf(
       f,
       "    ],\n    \"counters\": {\"memcpy_bytes\": %llu, "
-      "\"simd_bytes\": %llu, \"scalar_bytes\": %llu}\n  }\n",
-      static_cast<unsigned long long>(
-          trace::counter("sched.kernel.memcpy_bytes").value()),
-      static_cast<unsigned long long>(
-          trace::counter("sched.kernel.simd_bytes").value()),
-      static_cast<unsigned long long>(
-          trace::counter("sched.kernel.scalar_bytes").value()));
-  std::fprintf(f, "}\n");
+      "\"simd_bytes\": %llu, \"scalar_bytes\": %llu}\n  },\n",
+      static_cast<unsigned long long>(memcpy_bytes),
+      static_cast<unsigned long long>(simd_bytes),
+      static_cast<unsigned long long>(scalar_bytes));
+  std::fprintf(f, "  \"patch_location\": {\n    \"rows\": 64,\n"
+                  "    \"cases\": [\n");
+  for (std::size_t i = 0; i < lcases.size(); ++i) {
+    const auto& lc = lcases[i];
+    std::fprintf(f,
+                 "      {\"columns\": %d, \"owned_patches\": %zu, "
+                 "\"inject_ns_median\": %.1f, \"inject_ns_p25\": %.1f, "
+                 "\"inject_ns_p75\": %.1f, \"inject_ns_iqr\": %.1f}%s\n",
+                 int(lc.columns), lc.patches, lc.ns_p50, lc.ns_p25, lc.ns_p75,
+                 lc.ns_p75 - lc.ns_p25, i + 1 < lcases.size() ? "," : "");
+  }
+  std::fprintf(f, "    ]\n  }\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_redistribution.json\n");
   return 0;

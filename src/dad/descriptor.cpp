@@ -1,6 +1,7 @@
 #include "dad/descriptor.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -102,8 +103,14 @@ void Descriptor::finalize() {
   } else {
     // Process grid coordinates: axis a has axes_[a].nprocs() coordinates;
     // rank is the row-major composition (last axis fastest).
+    rank_coords_.assign(nranks_, {});
     for (int r = 0; r < nranks_; ++r) {
-      const std::array<int, kMaxNdim> coords = grid_coords(r);
+      std::array<int, kMaxNdim>& coords = rank_coords_[r];
+      int rem = r;
+      for (int a = ndim_ - 1; a >= 0; --a) {
+        coords[a] = rem % axes_[a].nprocs();
+        rem /= axes_[a].nprocs();
+      }
       // Cartesian product of the per-axis interval lists, lexicographic by
       // interval index (row-major, last axis fastest).
       std::array<const std::vector<IndexInterval>*, kMaxNdim> ivs{};
@@ -164,13 +171,7 @@ std::array<int, kMaxNdim> Descriptor::grid_coords(int rank) const {
   if (explicit_)
     throw UsageError("grid_coords is defined for regular templates only");
   if (rank < 0 || rank >= nranks_) throw UsageError("rank out of range");
-  std::array<int, kMaxNdim> coords{};
-  int rem = rank;
-  for (int a = ndim_ - 1; a >= 0; --a) {
-    coords[a] = rem % axes_[a].nprocs();
-    rem /= axes_[a].nprocs();
-  }
-  return coords;
+  return rank_coords_[rank];
 }
 
 const std::vector<std::vector<Descriptor::IndexedPatch>>&
@@ -218,12 +219,13 @@ int Descriptor::owner(const Point& p) const {
 }
 
 Index Descriptor::global_to_local(int rank, const Point& p) const {
-  const auto& patches = rank_patches_.at(rank);
-  for (std::size_t i = 0; i < patches.size(); ++i) {
-    if (patches[i].contains(p))
-      return rank_patch_bases_[rank][i] + patches[i].offset_of(p);
-  }
-  throw UsageError("rank does not own point");
+  Patch unit;
+  unit.ndim = ndim_;
+  unit.lo = p;
+  for (int a = 0; a < ndim_; ++a) unit.hi[a] = p[a] + 1;
+  const std::ptrdiff_t i = find_patch(rank, unit);
+  if (i < 0) throw UsageError("rank does not own point");
+  return rank_patch_bases_[rank][i] + rank_patches_[rank][i].offset_of(p);
 }
 
 Point Descriptor::local_to_global(int rank, Index offset) const {
@@ -236,11 +238,43 @@ Point Descriptor::local_to_global(int rank, Index offset) const {
 }
 
 std::size_t Descriptor::patch_containing(int rank, const Patch& region) const {
-  const auto& patches = rank_patches_.at(rank);
-  for (std::size_t i = 0; i < patches.size(); ++i)
-    if (patches[i].contains(region)) return i;
-  throw UsageError("rank owns no patch containing region " +
-                   region.to_string());
+  const std::ptrdiff_t i = find_patch(rank, region);
+  if (i < 0)
+    throw UsageError("rank owns no patch containing region " +
+                     region.to_string());
+  return static_cast<std::size_t>(i);
+}
+
+std::ptrdiff_t Descriptor::find_patch(int rank, const Patch& region) const {
+  if (explicit_) {
+    // Entries before `it` start at or before region.lo[0]; walk them back
+    // until the running max of hi[0] says no earlier one reaches hi[0].
+    const auto& index = spatial_index().at(rank);
+    auto it = std::upper_bound(
+        index.begin(), index.end(), region.lo[0],
+        [](Index v, const IndexedPatch& e) { return v < e.patch.lo[0]; });
+    while (it != index.begin()) {
+      --it;
+      if (it->max_hi0 < region.hi[0]) break;
+      if (it->patch.contains(region)) return it->idx;
+    }
+    return -1;
+  }
+  // patches_of(rank) is the row-major product of the per-axis interval
+  // lists (finalize), so the containing patch is the product of the
+  // containing interval on each axis.
+  const std::array<int, kMaxNdim>& coords = rank_coords_.at(rank);
+  std::ptrdiff_t idx = 0;
+  for (int a = 0; a < ndim_; ++a) {
+    const auto& ivs = axes_[a].intervals_of(coords[a]);
+    auto it = std::upper_bound(
+        ivs.begin(), ivs.end(), region.lo[a],
+        [](Index v, const IndexInterval& iv) { return v < iv.lo; });
+    if (it == ivs.begin() || region.hi[a] > std::prev(it)->hi) return -1;
+    idx = idx * static_cast<std::ptrdiff_t>(ivs.size()) +
+          (it - ivs.begin() - 1);
+  }
+  return idx;
 }
 
 bool Descriptor::same_shape(const Descriptor& other) const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -108,14 +109,17 @@ class Descriptor {
       const;
 
   /// Storage offset (within rank's concatenated patch storage) of an owned
-  /// global point. Throws if `rank` does not own `p`.
+  /// global point. Throws if `rank` does not own `p`. Finds the patch the
+  /// same way patch_containing does.
   [[nodiscard]] Index global_to_local(int rank, const Point& p) const;
 
   /// Inverse of global_to_local.
   [[nodiscard]] Point local_to_global(int rank, Index offset) const;
 
   /// Index of the owned patch of `rank` that fully contains `region`;
-  /// throws if none does.
+  /// throws if none does. Regular templates binary-search each axis's
+  /// intervals; explicit templates search spatial_index() (building it on
+  /// first use).
   [[nodiscard]] std::size_t patch_containing(int rank,
                                              const Patch& region) const;
 
@@ -158,6 +162,11 @@ class Descriptor {
   void finalize();  // builds rank_patches_, hash_, etc.
   void rehash();    // recompute hash_ from the canonical serialization
 
+  // Position in patches_of(rank) of the owned patch containing `region`, or
+  // -1: the lookup behind patch_containing and global_to_local. A region
+  // empty along some axis may match any patch that contains it.
+  [[nodiscard]] std::ptrdiff_t find_patch(int rank, const Patch& region) const;
+
   bool explicit_ = false;
   int ndim_ = 0;
   Point extents_{};
@@ -172,6 +181,7 @@ class Descriptor {
   std::vector<std::vector<Index>> rank_patch_bases_;
   std::vector<Index> rank_volumes_;
   std::vector<Patch> rank_bboxes_;
+  std::vector<std::array<int, kMaxNdim>> rank_coords_;  // regular only
 
   // Lazily built spatial index, shared between copies (same structure ⇒
   // same index). The holder is allocated eagerly in finalize() so the

@@ -406,6 +406,228 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------------
+// Patch location: patch_containing / global_to_local against a linear scan
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using Rng = std::mt19937;
+
+Index rand_index(Rng& rng, Index lo, Index hi) {  // inclusive
+  return std::uniform_int_distribution<Index>(lo, hi)(rng);
+}
+
+// Reference: the first owned patch of `rank` containing `region`, or -1.
+std::ptrdiff_t scan_patch(const Descriptor& d, int rank, const Patch& region) {
+  const auto& patches = d.patches_of(rank);
+  for (std::size_t i = 0; i < patches.size(); ++i)
+    if (patches[i].contains(region)) return static_cast<std::ptrdiff_t>(i);
+  return -1;
+}
+
+// Reference: storage offset of `p` on `rank`, or -1 when `rank` does not
+// own it.
+Index scan_local(const Descriptor& d, int rank, const Point& p) {
+  const auto& patches = d.patches_of(rank);
+  for (std::size_t i = 0; i < patches.size(); ++i)
+    if (patches[i].contains(p))
+      return d.patch_base(rank, i) + patches[i].offset_of(p);
+  return -1;
+}
+
+// Axis kinds in the order the sweep rotates through them.
+enum class Kind { Collapsed, Block, Cyclic, BlockCyclic, GenBlock, Implicit };
+constexpr int kKinds = 6;
+
+AxisDist make_axis(Rng& rng, Kind kind, Index extent, int nprocs) {
+  switch (kind) {
+    case Kind::Collapsed: return AxisDist::collapsed(extent);
+    case Kind::Block: return AxisDist::block(extent, nprocs);
+    case Kind::Cyclic: return AxisDist::cyclic(extent, nprocs);
+    case Kind::BlockCyclic:
+      return AxisDist::block_cyclic(extent, nprocs,
+                                    rand_index(rng, 1, extent / 2 + 1));
+    case Kind::GenBlock: {
+      // Random sizes summing to extent; some coordinates may own nothing.
+      std::vector<Index> sizes(static_cast<std::size_t>(nprocs), 0);
+      for (Index i = 0; i < extent; ++i)
+        ++sizes[static_cast<std::size_t>(rand_index(rng, 0, nprocs - 1))];
+      return AxisDist::generalized_block(std::move(sizes));
+    }
+    case Kind::Implicit: {
+      std::vector<int> owners(static_cast<std::size_t>(extent));
+      for (auto& o : owners) o = static_cast<int>(rand_index(rng, 0, nprocs - 1));
+      return AxisDist::implicit(std::move(owners), nprocs);
+    }
+  }
+  return AxisDist::collapsed(extent);
+}
+
+// Regular template whose axis a has kind (first + a) mod kKinds over a
+// random 1..3-coordinate grid axis (a collapsed axis gets one coordinate).
+Descriptor lookup_regular(Rng& rng, int first, int ndim) {
+  static constexpr Index kExtents[4][4] = {
+      {37}, {13, 11}, {7, 9, 6}, {5, 6, 4, 7}};
+  std::vector<AxisDist> axes;
+  for (int a = 0; a < ndim; ++a) {
+    const auto kind = static_cast<Kind>((first + a) % kKinds);
+    const int nprocs =
+        kind == Kind::Collapsed ? 1 : static_cast<int>(rand_index(rng, 1, 3));
+    axes.push_back(make_axis(rng, kind, kExtents[ndim - 1][a], nprocs));
+  }
+  return Descriptor::regular(std::move(axes));
+}
+
+// Explicit template with the regular one's patches and shuffled owners.
+Descriptor lookup_explicit_from(Rng& rng, const Descriptor& reg) {
+  std::vector<int> perm(static_cast<std::size_t>(reg.nranks()));
+  std::iota(perm.begin(), perm.end(), 0);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  std::vector<dad::OwnedPatch> patches;
+  for (int r = 0; r < reg.nranks(); ++r)
+    for (const auto& p : reg.patches_of(r))
+      patches.push_back({p, perm[static_cast<std::size_t>(r)]});
+  std::shuffle(patches.begin(), patches.end(), rng);
+  return Descriptor::explicit_patches(reg.ndim(), reg.extents(),
+                                      std::move(patches), reg.nranks());
+}
+
+// Explicit template from random guillotine cuts: patches of uneven sizes
+// whose lo[0] values do not line up, owned by random ranks.
+Descriptor lookup_guillotine(Rng& rng, int ndim, const Point& extents,
+                             int nranks) {
+  std::vector<Patch> todo{Patch::make(ndim, Point{}, extents)};
+  std::vector<dad::OwnedPatch> out;
+  while (!todo.empty()) {
+    Patch p = todo.back();
+    todo.pop_back();
+    const int a = static_cast<int>(rand_index(rng, 0, ndim - 1));
+    if (p.extent(a) < 2 || rand_index(rng, 0, 4) == 0) {
+      out.push_back({p, static_cast<int>(rand_index(rng, 0, nranks - 1))});
+      continue;
+    }
+    const Index cut = rand_index(rng, p.lo[a] + 1, p.hi[a] - 1);
+    Patch left = p, right = p;
+    left.hi[a] = cut;
+    right.lo[a] = cut;
+    todo.push_back(left);
+    todo.push_back(right);
+  }
+  return Descriptor::explicit_patches(ndim, extents, std::move(out), nranks);
+}
+
+Patch random_subregion(Rng& rng, const Patch& p) {
+  Patch r = p;
+  for (int a = 0; a < p.ndim; ++a) {
+    r.lo[a] = rand_index(rng, p.lo[a], p.hi[a] - 1);
+    r.hi[a] = rand_index(rng, r.lo[a] + 1, p.hi[a]);
+  }
+  return r;
+}
+
+void expect_lookup_matches_scan(const Descriptor& d, Rng& rng) {
+  const Patch whole = Patch::make(d.ndim(), Point{}, d.extents());
+  for (int r = 0; r < d.nranks(); ++r) {
+    const auto& patches = d.patches_of(r);
+    // Every owned patch, random sub-regions of it, and the patch grown by
+    // one index along each axis (which straddles into a neighbour or out of
+    // the template, so no single owned patch contains it).
+    for (std::size_t i = 0; i < patches.size(); ++i) {
+      EXPECT_EQ(d.patch_containing(r, patches[i]), i) << d.to_string();
+      for (int k = 0; k < 3; ++k) {
+        const Patch sub = random_subregion(rng, patches[i]);
+        EXPECT_EQ(d.patch_containing(r, sub), i) << sub.to_string();
+      }
+      for (int a = 0; a < d.ndim(); ++a) {
+        Patch grown = patches[i];
+        ++grown.hi[a];
+        EXPECT_THROW((void)d.patch_containing(r, grown), mxn::rt::UsageError)
+            << grown.to_string();
+        grown = patches[i];
+        --grown.lo[a];
+        EXPECT_THROW((void)d.patch_containing(r, grown), mxn::rt::UsageError)
+            << grown.to_string();
+      }
+    }
+    // Regions another rank owns.
+    const int other = (r + 1) % d.nranks();
+    if (other != r) {
+      for (const auto& p : d.patches_of(other))
+        EXPECT_THROW((void)d.patch_containing(r, p), mxn::rt::UsageError)
+            << p.to_string();
+    }
+    // Random regions and points anywhere in the template.
+    for (int k = 0; k < 48; ++k) {
+      const Patch region = random_subregion(rng, whole);
+      const std::ptrdiff_t want = scan_patch(d, r, region);
+      if (want < 0) {
+        EXPECT_THROW((void)d.patch_containing(r, region), mxn::rt::UsageError)
+            << region.to_string();
+      } else {
+        EXPECT_EQ(d.patch_containing(r, region),
+                  static_cast<std::size_t>(want))
+            << region.to_string();
+      }
+
+      Point p{};
+      for (int a = 0; a < d.ndim(); ++a)
+        p[a] = rand_index(rng, 0, d.extent(a) - 1);
+      const Index off = scan_local(d, r, p);
+      if (off < 0) {
+        EXPECT_THROW((void)d.global_to_local(r, p), mxn::rt::UsageError);
+      } else {
+        EXPECT_EQ(d.global_to_local(r, p), off);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(PatchLookup, RegularMatchesLinearScanEveryKindAndDim) {
+  Rng rng(20261017);
+  for (int first = 0; first < kKinds; ++first)
+    for (int ndim = 1; ndim <= dad::kMaxNdim; ++ndim)
+      for (int grid = 0; grid < 3; ++grid) {
+        SCOPED_TRACE("first kind " + std::to_string(first) + ", ndim " +
+                     std::to_string(ndim) + ", grid " + std::to_string(grid));
+        expect_lookup_matches_scan(lookup_regular(rng, first, ndim), rng);
+      }
+}
+
+TEST(PatchLookup, ExplicitMatchesLinearScan) {
+  Rng rng(7);
+  for (int first = 0; first < kKinds; ++first)
+    for (int ndim = 1; ndim <= dad::kMaxNdim; ++ndim) {
+      SCOPED_TRACE("first kind " + std::to_string(first) + ", ndim " +
+                   std::to_string(ndim));
+      const Descriptor reg = lookup_regular(rng, first, ndim);
+      expect_lookup_matches_scan(lookup_explicit_from(rng, reg), rng);
+      expect_lookup_matches_scan(
+          lookup_guillotine(rng, ndim, reg.extents(),
+                            static_cast<int>(rand_index(rng, 1, 5))),
+          rng);
+    }
+}
+
+TEST(PatchLookup, RegularLookupSpansManyPatches) {
+  // 2 -> 2 column-cyclic over 1024 columns: 512 patches per rank, the shape
+  // whose per-region lookup used to grow with the column count.
+  const auto d = Descriptor::regular(
+      {AxisDist::collapsed(8), AxisDist::cyclic(1024, 2)});
+  ASSERT_EQ(d.patches_of(1).size(), 512u);
+  for (std::size_t i = 0; i < 512; ++i) {
+    const Index col = static_cast<Index>(2 * i + 1);
+    EXPECT_EQ(d.patch_containing(1, patch2(2, 5, col, col + 1)), i);
+    EXPECT_EQ(d.global_to_local(1, Point{3, col}),
+              static_cast<Index>(8 * i + 3));
+  }
+  EXPECT_THROW((void)d.patch_containing(1, patch2(0, 8, 1, 3)),
+               mxn::rt::UsageError);
+  EXPECT_THROW((void)d.global_to_local(1, Point{0, 2}), mxn::rt::UsageError);
+}
+
+// ---------------------------------------------------------------------------
 // DistArray
 // ---------------------------------------------------------------------------
 
