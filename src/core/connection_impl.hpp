@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "core/mxn_component.hpp"
-#include "core/transmission_policy.hpp"
 #include "sched/schedule.hpp"
 
 namespace mxn::core {
@@ -51,10 +50,6 @@ struct MxNComponent::Connection {
   // schedule alive even if a bounded cache evicts the entry under other
   // tenants' pressure.
   std::shared_ptr<const sched::RegionSchedule> schedule;
-  // How this connection's bytes move — derived from the spec's flags at
-  // establish time (policy_from_spec), overridable per tenant via
-  // MxNComponent::set_policy.
-  std::shared_ptr<const TransmissionPolicy> policy;
   sched::Coupling coupling;
   int seq = 0;
   int src_calls = 0;

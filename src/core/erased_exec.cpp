@@ -8,10 +8,26 @@ namespace mxn::core {
 
 using rt::UsageError;
 
+void pack_regions(const FieldRegistration& f, const sched::PeerRegions& pr,
+                  std::byte* out) {
+  for (const auto& region : pr.regions) {
+    f.extract(region, out);
+    out += static_cast<std::size_t>(region.volume()) * f.elem_size;
+  }
+}
+
+void inject_regions(const FieldRegistration& f, const sched::PeerRegions& pr,
+                    const std::byte* in) {
+  for (const auto& region : pr.regions) {
+    f.inject(region, in);
+    in += static_cast<std::size_t>(region.volume()) * f.elem_size;
+  }
+}
+
 MovedCounts execute_erased(const sched::RegionSchedule& s,
                            const FieldRegistration* src,
                            const FieldRegistration* dst,
-                           const sched::Coupling& c, int tag, bool staged) {
+                           const sched::Coupling& c, int tag) {
   trace::Span span("sched.execute", "sched",
                    static_cast<std::uint64_t>(s.send_elements() +
                                               s.recv_elements()));
@@ -33,23 +49,12 @@ MovedCounts execute_erased(const sched::RegionSchedule& s,
     const std::size_t bytes =
         static_cast<std::size_t>(pr.elements) * src->elem_size;
     rt::Buffer buf = rt::Buffer::allocate(bytes);
-    std::byte* out = buf.mutable_data();
-    std::size_t off = 0;
-    for (const auto& region : pr.regions) {
-      src->extract(region, out + off);
-      off += static_cast<std::size_t>(region.volume()) * src->elem_size;
-    }
+    pack_regions(*src, pr, buf.mutable_data());
     rt::note_bytes_copied(bytes);
     moved.elements += static_cast<std::uint64_t>(pr.elements);
     moved.bytes += bytes;
     channel.isend(c.dst_ranks.at(pr.peer), tag, std::move(buf));
   }
-  // Staged mode: land every payload before the first inject, so a fault
-  // while any receive is outstanding cannot leave the field half-written.
-  // Payloads are drained in arrival order; staging keeps a reference to
-  // each arrived block (no copy) until the commit walk injects from it.
-  std::vector<rt::Buffer> pending;
-  if (staged) pending.resize(s.recvs.size());
   sched::detail::drain_arrival_order(
       channel, c.src_ranks, s.recvs, tag, c.recv_timeout_ms,
       [&](std::size_t i, rt::Message msg) {
@@ -57,30 +62,10 @@ MovedCounts execute_erased(const sched::RegionSchedule& s,
         if (msg.payload.size() !=
             static_cast<std::size_t>(pr.elements) * dst->elem_size)
           throw UsageError("erased transfer payload size mismatch");
-        if (staged) {
-          pending[i] = std::move(msg.payload);
-          return;
-        }
-        std::size_t off = 0;
-        for (const auto& region : pr.regions) {
-          dst->inject(region, msg.payload.data() + off);
-          off += static_cast<std::size_t>(region.volume()) * dst->elem_size;
-        }
+        inject_regions(*dst, pr, msg.payload.data());
         moved.elements += static_cast<std::uint64_t>(pr.elements);
         moved.bytes += msg.payload.size();
       });
-  if (staged) {
-    for (std::size_t i = 0; i < s.recvs.size(); ++i) {
-      const auto& pr = s.recvs[i];
-      std::size_t off = 0;
-      for (const auto& region : pr.regions) {
-        dst->inject(region, pending[i].data() + off);
-        off += static_cast<std::size_t>(region.volume()) * dst->elem_size;
-      }
-      moved.elements += static_cast<std::uint64_t>(pr.elements);
-      moved.bytes += pending[i].size();
-    }
-  }
   return moved;
 }
 

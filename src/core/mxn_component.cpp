@@ -5,7 +5,7 @@
 #include <map>
 
 #include "core/connection_impl.hpp"
-#include "core/transmission_policy.hpp"
+#include "core/reliable_exchange.hpp"
 #include "sched/schedule.hpp"
 #include "trace/trace.hpp"
 
@@ -132,7 +132,6 @@ ConnectionId MxNComponent::establish_impl(const ConnectionSpec& spec) {
   c->seq = seq_++;
   c->i_am_src = side_ == spec.src_side;
   c->i_am_dst = !c->i_am_src;
-  c->policy = policy_from_spec(spec);
 
   const std::string& local_name =
       c->i_am_src ? spec.src_field : spec.dst_field;
@@ -182,20 +181,72 @@ ConnectionId MxNComponent::establish_impl(const ConnectionSpec& spec) {
 void MxNComponent::run_transfer(Connection& c) {
   trace::Span span("mxn.transfer", "mxn",
                    static_cast<std::uint64_t>(c.seq));
-  TransferContext ctx;
-  ctx.schedule = c.schedule.get();
-  ctx.src = c.i_am_src ? &field(c.spec.src_field) : nullptr;
-  ctx.dst = c.i_am_dst ? &field(c.spec.dst_field) : nullptr;
-  ctx.coupling = &c.coupling;
-  ctx.data_tag = c.data_tag();
-  ctx.ack_tag = c.ack_tag();
-  ctx.commit_tag = c.commit_tag();
-  ctx.timeout_ms = c.spec.timeout_ms;
-  ctx.max_retries = c.spec.max_retries;
-  ctx.serial = &c.epoch;
-  ctx.seq = c.seq;
-  ctx.stats = &c.stats;
-  c.policy->transfer(ctx);
+  static trace::Counter& transfers = trace::counter("mxn.transfers");
+  static trace::Counter& bytes = trace::counter("mxn.bytes");
+  const FieldRegistration* src =
+      c.i_am_src ? &field(c.spec.src_field) : nullptr;
+  const FieldRegistration* dst =
+      c.i_am_dst ? &field(c.spec.dst_field) : nullptr;
+  const auto count = [&](const MovedCounts& moved) {
+    c.stats.elements += moved.elements;
+    c.stats.bytes += moved.bytes;
+    transfers.add(1);
+    bytes.add(moved.bytes);
+  };
+  // The spec's flags select the wire protocol; both sides hold the same
+  // spec, so they agree on it. `reliable` takes precedence over
+  // `handshake`.
+  if (c.spec.reliable) {
+    static trace::Counter& retries_ctr = trace::counter("mxn.retries");
+    static trace::Counter& failures = trace::counter("mxn.transfer_failures");
+    ReliableExchange x;
+    x.schedule = c.schedule.get();
+    x.src = src;
+    x.dst = dst;
+    x.coupling = &c.coupling;
+    x.data_tag = c.data_tag();
+    x.ack_tag = c.ack_tag();
+    x.commit_tag = c.commit_tag();
+    x.timeout_ms = c.spec.timeout_ms;
+    x.serial = &c.epoch;
+    int retries = 0;
+    const auto moved = run_reliable(x, c.spec.max_retries, retries,
+                                    "mxn.retry",
+                                    static_cast<std::uint64_t>(c.seq));
+    if (retries > 0) {
+      c.stats.retries += static_cast<std::uint64_t>(retries);
+      retries_ctr.add(static_cast<std::uint64_t>(retries));
+    }
+    if (!moved) {
+      ++c.stats.failures;
+      failures.add(1);
+      trace::instant("mxn.transfer_failure", "mxn",
+                     static_cast<std::uint64_t>(c.seq));
+      throw TransferError(
+          "reliable transfer on connection seq " + std::to_string(c.seq) +
+          " failed after " + std::to_string(retries + 1) +
+          " attempts; destination field left untouched");
+    }
+    count(*moved);
+  } else {
+    // Loose delivery: sends complete eagerly into mailboxes.
+    count(execute_erased(*c.schedule, src, dst, c.coupling, c.data_tag()));
+    if (c.spec.handshake) {
+      // Tight synchronization (paper §4.1): every destination acks each
+      // source peer, so the source blocks until its data was received.
+      trace::Span hs("mxn.handshake", "mxn");
+      rt::Communicator channel = c.coupling.channel;
+      if (dst) {
+        for (const auto& pr : c.schedule->recvs)
+          channel.send(c.coupling.src_ranks.at(pr.peer), c.ack_tag(),
+                       std::vector<std::byte>{});
+      }
+      if (src) {
+        for (const auto& pr : c.schedule->sends)
+          channel.recv(c.coupling.dst_ranks.at(pr.peer), c.ack_tag());
+      }
+    }
+  }
   ++c.stats.transfers;
   if (c.spec.one_shot) c.retired = true;
 }
@@ -240,22 +291,6 @@ bool MxNComponent::data_ready_connection(ConnectionId id) {
   }
   run_transfer(c);
   return true;
-}
-
-void MxNComponent::set_policy(
-    ConnectionId id, std::shared_ptr<const TransmissionPolicy> policy) {
-  if (!policy) throw UsageError("set_policy: null policy");
-  auto it = connections_.find(id);
-  if (it == connections_.end())
-    throw UsageError("no such connection: " + std::to_string(id));
-  it->second->policy = std::move(policy);
-}
-
-const char* MxNComponent::policy_name(ConnectionId id) const {
-  auto it = connections_.find(id);
-  if (it == connections_.end())
-    throw UsageError("no such connection: " + std::to_string(id));
-  return it->second->policy->name();
 }
 
 void MxNComponent::disconnect(ConnectionId id) {

@@ -16,8 +16,6 @@ namespace mxn::core {
 
 using ConnectionId = int;
 
-class TransmissionPolicy;  // core/transmission_policy.hpp
-
 /// How a coupling moves data (paper §4.1, unifying the PAWS and CUMULVS
 /// connection models under one interface):
 ///  - one_shot == true: a single transfer (PAWS send/receive pairing); the
@@ -204,15 +202,6 @@ class MxNComponent final : public Component, public MxNService {
   /// source side as in data_ready. Returns true if the connection moved
   /// data (false if retired or gated off this call).
   bool data_ready_connection(ConnectionId id);
-
-  /// Replace the connection's transmission policy (eager / rendezvous /
-  /// reliable two-phase / custom) chosen at establish time from the spec's
-  /// flags. Local: each side may be overridden independently, but the two
-  /// sides' policies must agree on the wire protocol they speak.
-  void set_policy(ConnectionId id,
-                  std::shared_ptr<const TransmissionPolicy> policy);
-  /// The connection's current policy name ("eager", "rendezvous", ...).
-  [[nodiscard]] const char* policy_name(ConnectionId id) const;
 
   /// Re-shard and budget this component's schedule cache (see
   /// sched::ScheduleCacheConfig). Connections pin their schedules, so

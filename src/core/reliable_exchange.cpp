@@ -1,8 +1,11 @@
 #include "core/reliable_exchange.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <vector>
+
+#include "trace/trace.hpp"
 
 namespace mxn::core {
 
@@ -34,8 +37,8 @@ std::vector<std::byte> serial_only(std::uint64_t s) {
   return b;
 }
 
-}  // namespace
-
+// One attempt of the protocol run_reliable documents: std::nullopt on a
+// retryable timeout.
 std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
   const sched::RegionSchedule& s = *x.schedule;
   const sched::Coupling& cpl = *x.coupling;
@@ -66,13 +69,8 @@ std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
             kSerialBytes +
             static_cast<std::size_t>(pr.elements) * x.src->elem_size;
         rt::Buffer buf = rt::Buffer::allocate(nbytes);
-        std::byte* out = buf.mutable_data();
-        put_serial(out, my_serial);
-        std::size_t off = kSerialBytes;
-        for (const auto& region : pr.regions) {
-          x.src->extract(region, out + off);
-          off += static_cast<std::size_t>(region.volume()) * x.src->elem_size;
-        }
+        put_serial(buf.mutable_data(), my_serial);
+        pack_regions(*x.src, pr, buf.mutable_data() + kSerialBytes);
         rt::note_bytes_copied(nbytes);
         moved.elements += static_cast<std::uint64_t>(pr.elements);
         moved.bytes += nbytes - kSerialBytes;
@@ -141,11 +139,7 @@ std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
       }
       for (std::size_t i = 0; i < s.recvs.size(); ++i) {
         const auto& pr = s.recvs[i];
-        std::size_t off = kSerialBytes;
-        for (const auto& region : pr.regions) {
-          x.dst->inject(region, staged[i].data() + off);
-          off += static_cast<std::size_t>(region.volume()) * x.dst->elem_size;
-        }
+        inject_regions(*x.dst, pr, staged[i].data() + kSerialBytes);
         moved.elements += static_cast<std::uint64_t>(pr.elements);
         moved.bytes += staged[i].size() - kSerialBytes;
       }
@@ -154,6 +148,34 @@ std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
     return std::nullopt;
   }
   return moved;
+}
+
+}  // namespace
+
+std::optional<MovedCounts> run_reliable(const ReliableExchange& x,
+                                        int max_retries, int& retries,
+                                        const char* retry_instant,
+                                        std::uint64_t trace_arg) {
+  const int attempts = 1 + std::max(0, max_retries);
+  for (int a = 0; a < attempts; ++a) {
+    retries = a;
+    if (a > 0 && retry_instant != nullptr)
+      trace::instant(retry_instant, "mxn", trace_arg);
+    if (auto moved = run_reliable_attempt(x)) return moved;
+  }
+  return std::nullopt;
+}
+
+std::uint64_t copy_local_regions(const sched::DeltaSchedule& d,
+                                 const FieldRegistration& from,
+                                 const FieldRegistration& to) {
+  std::vector<std::byte> buf;
+  for (const auto& region : d.local) {
+    buf.resize(static_cast<std::size_t>(region.volume()) * from.elem_size);
+    from.extract(region, buf.data());
+    to.inject(region, buf.data());
+  }
+  return static_cast<std::uint64_t>(d.local_elements) * from.elem_size;
 }
 
 }  // namespace mxn::core

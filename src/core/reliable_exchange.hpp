@@ -8,9 +8,10 @@
 namespace mxn::core {
 
 /// One parametrized instance of the two-phase reliable exchange
-/// (docs/FAULTS.md): the same wire protocol backs both reliable M×N
-/// connection transfers and the patch-migration step of an elastic rescale
-/// (docs/RESCALING.md). `src`/`dst` are this rank's roles — either may be
+/// (docs/FAULTS.md): the same wire protocol backs reliable M×N connection
+/// transfers, the patch-migration step of an elastic rescale
+/// (docs/RESCALING.md) and the relayout exchanges of a redundancy recovery
+/// (docs/REDUNDANCY.md). `src`/`dst` are this rank's roles — either may be
 /// null; with both set the rank sends and receives in the same attempt
 /// (self-coupling / overlap migration).
 struct ReliableExchange {
@@ -30,7 +31,8 @@ struct ReliableExchange {
   std::uint64_t* serial = nullptr;
 };
 
-/// One attempt of the two-phase protocol:
+/// Run the two-phase exchange, retrying a timed-out attempt up to
+/// `max_retries` times (at most 1 + max(0, max_retries) attempts):
 ///
 ///   src: send [serial|data] to each peer --> wait per-peer ack --> commit
 ///   dst: stage [serial|data] from each peer --> ack each --> wait commits
@@ -43,8 +45,21 @@ struct ReliableExchange {
 /// attempt — TimeoutError at any of the waits — leaves the destination
 /// field untouched and the whole attempt can simply be re-run.
 ///
-/// Returns the moved counts (this rank's sent + received payload bytes), or
-/// std::nullopt on a retryable timeout.
-std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x);
+/// When `retry_instant` is set, the trace instant of that name (category
+/// "mxn", argument `trace_arg`) marks the start of each retried attempt.
+/// Returns the moved counts of the attempt that completed (this rank's sent
+/// + received payload bytes), or std::nullopt when every attempt timed out;
+/// `retries` receives the number of retried attempts in both cases.
+std::optional<MovedCounts> run_reliable(const ReliableExchange& x,
+                                        int max_retries, int& retries,
+                                        const char* retry_instant = nullptr,
+                                        std::uint64_t trace_arg = 0);
+
+/// The same-rank leg of a relayout: extract every region of `d.local` from
+/// `from` and inject it into `to` through one reused staging buffer.
+/// Returns the bytes copied (`d.local_elements` × `from.elem_size`).
+std::uint64_t copy_local_regions(const sched::DeltaSchedule& d,
+                                 const FieldRegistration& from,
+                                 const FieldRegistration& to);
 
 }  // namespace mxn::core

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -132,7 +131,6 @@ ConnectionId MxNComponent::establish_elastic(const ConnectionSpec& spec) {
   c->seq = seq_++;
   c->i_am_src = side_ >= 0 && side_ == spec.src_side;
   c->i_am_dst = side_ >= 0 && side_ == 1 - spec.src_side;
-  c->policy = policy_from_spec(spec);
 
   if (c->i_am_src || c->i_am_dst) {
     const std::string& local_name =
@@ -267,14 +265,8 @@ void MxNComponent::migrate_side(
                          "' is read-only; cannot migrate into it");
 
       if (delta.local_elements > 0) {
-        std::vector<std::byte> buf;
-        for (const auto& region : delta.local) {
-          buf.resize(static_cast<std::size_t>(region.volume()) * old_elem);
-          oldf->extract(region, buf.data());
-          newf->inject(region, buf.data());
-        }
         const std::uint64_t local_bytes =
-            static_cast<std::uint64_t>(delta.local_elements) * old_elem;
+            copy_local_regions(delta, *oldf, *newf);
         rstats_.local_bytes += local_bytes;
         static trace::Counter& lb = trace::counter("rescale.local_bytes");
         lb.add(local_bytes);
@@ -301,26 +293,19 @@ void MxNComponent::migrate_side(
         static trace::Counter& mig_bytes =
             trace::counter("rescale.migrated_bytes");
         static trace::Counter& mig_retries = trace::counter("rescale.retries");
-        const int attempts = 1 + std::max(0, max_retries);
-        bool done = false;
-        for (int a = 0; a < attempts && !done; ++a) {
-          if (a > 0) {
-            ++rstats_.retries;
-            mig_retries.add(1);
-            trace::instant("rescale.retry", "mxn",
-                           static_cast<std::uint64_t>(fi));
-          }
-          if (const auto moved = run_reliable_attempt(x)) {
-            rstats_.migrated_bytes += moved->bytes;
-            mig_bytes.add(moved->bytes);
-            done = true;
-          }
-        }
-        if (!done)
+        int retries = 0;
+        const auto moved = run_reliable(x, max_retries, retries,
+                                        "rescale.retry",
+                                        static_cast<std::uint64_t>(fi));
+        rstats_.retries += static_cast<std::uint64_t>(retries);
+        mig_retries.add(static_cast<std::uint64_t>(retries));
+        if (!moved)
           throw TransferError("rescale: migration of field '" + name +
                               "' (side " + std::to_string(s) +
-                              ") failed after " + std::to_string(attempts) +
-                              " attempts");
+                              ") failed after " +
+                              std::to_string(retries + 1) + " attempts");
+        rstats_.migrated_bytes += moved->bytes;
+        mig_bytes.add(moved->bytes);
       }
     }
 

@@ -680,14 +680,8 @@ void migrate_recovered_side(
         snap_src = blob_backed_field(*fm, old_desc, my_old, state->blob);
       }
       if (delta.local_elements > 0) {
-        std::vector<std::byte> buf;
-        for (const auto& region : delta.local) {
-          buf.resize(static_cast<std::size_t>(region.volume()) * old_elem);
-          snap_src.extract(region, buf.data());
-          newf->inject(region, buf.data());
-        }
         const std::uint64_t lb =
-            static_cast<std::uint64_t>(delta.local_elements) * old_elem;
+            core::copy_local_regions(delta, snap_src, *newf);
         stats.local_bytes += lb;
         loc_bytes.add(lb);
       }
@@ -708,20 +702,16 @@ void migrate_recovered_side(
         x.timeout_ms = slice;
         std::uint64_t serial = 0;
         x.serial = &serial;
-        bool ok = false;
-        for (int a = 0; a < attempts && !ok; ++a) {
-          if (a > 0) mig_retries.add(1);
-          if (const auto moved = core::run_reliable_attempt(x)) {
-            stats.migrated_bytes += moved->bytes;
-            mig_bytes.add(moved->bytes);
-            ok = true;
-          }
-        }
-        if (!ok)
+        int retries = 0;
+        const auto moved = core::run_reliable(x, max_retries, retries);
+        mig_retries.add(static_cast<std::uint64_t>(retries));
+        if (!moved)
           throw core::TransferError(
               "recover: migration of field '" + name + "' (side " +
               std::to_string(s) + ") failed after " +
               std::to_string(attempts) + " attempts");
+        stats.migrated_bytes += moved->bytes;
+        mig_bytes.add(moved->bytes);
       }
     }
 
@@ -752,14 +742,8 @@ void migrate_recovered_side(
         dead_src = blob_backed_field(*fm, old_desc, d_cohort, rb.blob);
       }
       if (delta2.local_elements > 0) {
-        std::vector<std::byte> buf;
-        for (const auto& region : delta2.local) {
-          buf.resize(static_cast<std::size_t>(region.volume()) * old_elem);
-          dead_src.extract(region, buf.data());
-          newf->inject(region, buf.data());
-        }
         const std::uint64_t lb =
-            static_cast<std::uint64_t>(delta2.local_elements) * old_elem;
+            core::copy_local_regions(delta2, dead_src, *newf);
         stats.local_bytes += lb;
         loc_bytes.add(lb);
       }
@@ -780,20 +764,16 @@ void migrate_recovered_side(
       x2.timeout_ms = slice;
       std::uint64_t serial2 = 0;
       x2.serial = &serial2;
-      bool ok = false;
-      for (int a = 0; a < attempts && !ok; ++a) {
-        if (a > 0) mig_retries.add(1);
-        if (const auto moved = core::run_reliable_attempt(x2)) {
-          stats.migrated_bytes += moved->bytes;
-          mig_bytes.add(moved->bytes);
-          ok = true;
-        }
-      }
-      if (!ok)
+      int retries = 0;
+      const auto moved = core::run_reliable(x2, max_retries, retries);
+      mig_retries.add(static_cast<std::uint64_t>(retries));
+      if (!moved)
         throw core::TransferError(
             "recover: rebuilt-state migration of field '" + name +
             "' (dead rank " + std::to_string(dk) + ") failed after " +
             std::to_string(attempts) + " attempts");
+      stats.migrated_bytes += moved->bytes;
+      mig_bytes.add(moved->bytes);
     }
 
     if (my_new >= 0) {

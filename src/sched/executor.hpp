@@ -196,17 +196,6 @@ void unpack_segments_scalar(
       });
 }
 
-/// Compatibility wrapper over pack_segments / unpack_segments.
-template <class T>
-void copy_segments(const std::vector<linear::ProvenancedSegment>& prov,
-                   const std::vector<linear::Segment>& segs, T* local,
-                   T* buf, bool pack) {
-  if (pack)
-    pack_segments<T>(prov, segs, local, buf);
-  else
-    unpack_segments<T>(prov, segs, local, buf);
-}
-
 /// Execute a region schedule: this process performs exactly its own sends
 /// and matched receives — independent asynchronous point-to-point transfers
 /// with no synchronization barrier on either side (the dataReady() model of

@@ -1,6 +1,6 @@
 // Tests for the multi-tenant connection fabric (src/fabric): tenant
-// registry and per-tenant counters, per-connection transmission-policy
-// selection/override, PRMI call batching driven by the fabric's drain tick,
+// registry and per-tenant counters, the wire protocol each connection's
+// spec flags select, PRMI call batching driven by the fabric's drain tick,
 // and exactly-once batch delivery under injected message chaos.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 #include <memory>
 #include <string>
 
-#include "core/transmission_policy.hpp"
+#include "core/mxn_component.hpp"
 #include "fabric/fabric.hpp"
 #include "rt/runtime.hpp"
 #include "sidl/parser.hpp"
@@ -169,55 +169,67 @@ TEST(Fabric, ConnectionTenantsTickThroughRegistry) {
   EXPECT_GE(ctr("fabric.tenant.tenant0.advanced"), 2u);
 }
 
-TEST(Fabric, PolicySelectionFollowsSpecAndCanBeOverridden) {
+TEST(Fabric, SpecFlagsSelectTheWireProtocol) {
+  // block → cyclic over 2×2 ranks couples every source with every
+  // destination: 4 peer pairs, so one transfer sends 4 data messages, plus
+  // 4 acks with `handshake`, plus 4 acks and 4 commits with `reliable`
+  // (which takes precedence over `handshake`).
+  struct Case {
+    bool handshake, reliable;
+    std::uint64_t messages;
+  };
+  const Case cases[] = {
+      {false, false, 4}, {true, false, 8}, {false, true, 12}, {true, true, 12}};
   const int m = 2, n = 2;
   auto src_desc =
       dad::make_regular(std::vector<AxisDist>{AxisDist::block(8, m)});
   auto dst_desc =
-      dad::make_regular(std::vector<AxisDist>{AxisDist::block(8, n)});
-  rt::spawn(m + n, [&](rt::Communicator& world) {
-    auto mxn = core::make_paired_mxn(world, m, n);
-    const int side = world.rank() < m ? 0 : 1;
-    auto cohort = world.split(side, world.rank());
-    dad::DistArray<double> arr(side == 0 ? src_desc : dst_desc,
-                               cohort.rank());
-    if (side == 0) arr.fill(value_at);
-    mxn->register_field(core::make_field(
-        "f", &arr,
-        side == 0 ? core::AccessMode::Read : core::AccessMode::Write));
+      dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(8, n)});
+  for (const Case& k : cases) {
+    SCOPED_TRACE(::testing::Message() << "handshake=" << k.handshake
+                                      << " reliable=" << k.reliable);
+    std::uint64_t messages = 0;
+    rt::spawn(m + n, [&](rt::Communicator& world) {
+      // A channel of its own: its counters see only the M×N traffic.
+      auto channel = world.dup();
+      auto mxn = core::make_paired_mxn(channel, m, n);
+      const int side = mxn->side();
+      dad::DistArray<double> arr(side == 0 ? src_desc : dst_desc,
+                                 mxn->cohort().rank());
+      if (side == 0)
+        arr.fill(value_at);
+      else
+        arr.fill([](const Point&) { return -1.0; });
+      mxn->register_field(core::make_field(
+          "f", &arr,
+          side == 0 ? core::AccessMode::Read : core::AccessMode::Write));
 
-    core::ConnectionSpec spec;
-    spec.src_field = spec.dst_field = "f";
-    spec.src_side = 0;
-    spec.one_shot = false;
-    auto eager_id = mxn->establish(spec);
-    spec.handshake = true;
-    auto rendezvous_id = mxn->establish(spec);
-    spec.handshake = false;
-    spec.reliable = true;
-    spec.timeout_ms = 2000;
-    auto reliable_id = mxn->establish(spec);
+      core::ConnectionSpec spec;
+      spec.src_field = spec.dst_field = "f";
+      spec.src_side = 0;
+      spec.handshake = k.handshake;
+      spec.reliable = k.reliable;
+      spec.timeout_ms = 2000;
+      const auto id = mxn->establish(spec);
 
-    // The spec's wire-level flags select the policy on every rank.
-    EXPECT_STREQ(mxn->policy_name(eager_id), "eager");
-    EXPECT_STREQ(mxn->policy_name(rendezvous_id), "rendezvous");
-    EXPECT_STREQ(mxn->policy_name(reliable_id), "reliable-two-phase");
-
-    // All three actually move data under their policies.
-    for (auto id : {eager_id, rendezvous_id, reliable_id})
+      // Rank 0 snapshots between two barriers, before any rank transfers;
+      // every send of the transfer completes before its rank's last barrier.
+      world.barrier();
+      const auto before = channel.stats();
+      world.barrier();
       EXPECT_TRUE(mxn->data_ready_connection(id));
-    if (side == 1)
-      arr.for_each_owned([&](const Point& p, const double& v) {
-        EXPECT_DOUBLE_EQ(v, value_at(p));
-      });
+      world.barrier();
+      if (world.rank() == 0) messages = (channel.stats() - before).messages;
 
-    // Per-connection override: swap the rendezvous tenant to eager (a
-    // collective decision — every rank swaps, keeping both sides agreed).
-    EXPECT_NO_THROW(mxn->set_policy(
-        rendezvous_id, core::policy_from_spec(core::ConnectionSpec{})));
-    EXPECT_STREQ(mxn->policy_name(rendezvous_id), "eager");
-    EXPECT_TRUE(mxn->data_ready_connection(rendezvous_id));
-  });
+      EXPECT_EQ(mxn->stats(id).transfers, 1u);
+      EXPECT_EQ(mxn->stats(id).retries, 0u);
+      if (side == 1)
+        arr.for_each_owned([&](const Point& p, const double& v) {
+          EXPECT_DOUBLE_EQ(v, value_at(p));
+        });
+    });
+    EXPECT_EQ(messages, k.messages);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -287,7 +287,19 @@ void run_kill_rebuild_scenario(const rt::FaultPlan& plan,
             while (served < kCallsPerPhase)
               served += fw.serve("server", kCallsPerPhase - served);
             const int done_tag = kPhaseDoneTag + phase;
+            // The case runs in 7–16 s; a client that never reports done
+            // fails the run here instead of hanging it (this poll never
+            // blocks, so the deadlock watchdog cannot see it).
+            const auto serve_deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(60);
             while (!world.probe(0, done_tag)) {
+              if (std::chrono::steady_clock::now() > serve_deadline) {
+                const std::string msg =
+                    "steering phase " + std::to_string(phase) +
+                    ": client rank 0 sent no done message within 60 s";
+                ADD_FAILURE() << msg;
+                throw rt::TimeoutError(msg);
+              }
               EXPECT_EQ(fw.drain("server"), 0);
               std::this_thread::sleep_for(std::chrono::milliseconds(1));
             }

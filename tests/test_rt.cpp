@@ -446,6 +446,31 @@ TEST(RtSerialize, TruncatedPayloadThrows) {
   EXPECT_THROW(u.unpack<std::uint64_t>(), rt::UsageError);
 }
 
+// Empty payloads: an empty std::vector's data() may be null, and handing a
+// null pointer to memcpy is undefined even for zero bytes (UBSan reports it).
+TEST(RtSerialize, RoundTripsEmptyVector) {
+  rt::PackBuffer b;
+  b.pack(std::vector<double>{});
+  b.pack(7);
+  auto bytes = std::move(b).take();
+  rt::UnpackBuffer u(bytes);
+  EXPECT_TRUE(u.unpack_vector<double>().empty());
+  EXPECT_EQ(u.unpack<int>(), 7);
+  EXPECT_TRUE(u.empty());
+}
+
+TEST(RtPointToPoint, ZeroLengthSendReceivesEmptyVector) {
+  rt::spawn(2, [](rt::Communicator& comm) {
+    if (comm.rank() == 0) {
+      comm.send(1, 3, std::vector<std::byte>{});
+    } else {
+      int src = -1;
+      EXPECT_TRUE(comm.recv_vector<double>(0, 3, &src).empty());
+      EXPECT_EQ(src, 0);
+    }
+  });
+}
+
 // Property-style sweep: a ring rotation must deliver every token exactly once
 // for a range of sizes.
 class RtRingSweep : public ::testing::TestWithParam<int> {};
