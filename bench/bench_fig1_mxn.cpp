@@ -73,8 +73,8 @@ Result run_case(int m, int n, dad::Index extent) {
     const auto stats0 = world.stats();
     constexpr int kReps = 3;
     for (int r = 0; r < kReps; ++r) {
-      const auto& s = cache.get(src, dst, ms, md);
-      sched::execute<double>(s, a.get(), b.get(), c, 5);
+      const auto s = cache.get(src, dst, ms, md);
+      sched::execute<double>(*s, a.get(), b.get(), c, 5);
     }
     world.barrier();
     const double t2 = bench::now_s();

@@ -6,11 +6,12 @@
 //  1. Does the fabric sustain 10 000 concurrent M×N connections in one
 //     Universe with the schedule cache held under a byte budget? 512
 //     distinct template pairs cycle across 10 000 persistent connections
-//     (every connection pins its schedule via get_shared), the cache is
+//     (every connection pins its schedule handle), the cache is
 //     budgeted far below the working set, and the steady state drives
 //     every tenant through Fabric::drain_tick. Reported: per-tenant-tick
 //     p50/p99 latency and aggregate transfer throughput; gated: tenant
-//     count, evictions > 0, resident cache bytes <= budget.
+//     count, evictions > 0, resident cache bytes <= budget, and one
+//     lookup per tenant (hits + misses + races == tenants).
 //
 //  2. Is the bounded footprint/ownership cache exact under budget? The
 //     same 512 descriptors are swept through footprint_cached under an
@@ -75,7 +76,7 @@ dad::DescriptorPtr dst_desc() {
 }
 
 struct Part1 {
-  std::size_t evictions = 0, bytes = 0, hits = 0, misses = 0;
+  std::size_t evictions = 0, bytes = 0, hits = 0, misses = 0, races = 0;
   double establish_s = 0, steady_s = 0;
   double p50_us = 0, p99_us = 0, throughput = 0;
 };
@@ -135,6 +136,7 @@ Part1 run_part1() {
       out.bytes = st.bytes;
       out.hits = st.hits;
       out.misses = st.misses;
+      out.races = st.races;
       out.establish_s = establish_s;
       out.steady_s = steady_s;
       out.p50_us = samples[samples.size() / 2] * 1e6;
@@ -312,12 +314,13 @@ int main() {
       "  \"connections\": {\"tenants\": %d, \"fields\": %d, \"ticks\": %d,\n"
       "    \"cache_budget_entries\": %zu, \"cache_budget_bytes\": %zu,\n"
       "    \"cache_bytes\": %zu, \"cache_evictions\": %zu,\n"
-      "    \"cache_hits\": %zu, \"cache_misses\": %zu,\n"
+      "    \"cache_hits\": %zu, \"cache_misses\": %zu, "
+      "\"cache_races\": %zu,\n"
       "    \"establish_s\": %.3f, \"steady_s\": %.3f,\n"
       "    \"p50_us\": %.2f, \"p99_us\": %.2f,\n"
       "    \"throughput_transfers_per_s\": %.1f},\n",
       kConns, kFields, kTicks, kCacheEntries, kCacheBytes, p1.bytes,
-      p1.evictions, p1.hits, p1.misses, p1.establish_s, p1.steady_s,
+      p1.evictions, p1.hits, p1.misses, p1.races, p1.establish_s, p1.steady_s,
       p1.p50_us, p1.p99_us, p1.throughput);
   std::fprintf(
       f,

@@ -53,6 +53,8 @@ MxNComponent::MxNComponent(rt::Communicator channel, rt::Communicator cohort,
     throw UsageError("cohort size does not match this side's rank list");
 }
 
+MxNComponent::~MxNComponent() = default;
+
 void MxNComponent::set_services(Services& services) {
   services.add_provides_port(
       "mxn", "mxn.MxNService",
@@ -171,7 +173,7 @@ ConnectionId MxNComponent::establish_impl(const ConnectionSpec& spec) {
 
   const int my_src = c->i_am_src ? cohort_.rank() : -1;
   const int my_dst = c->i_am_dst ? cohort_.rank() : -1;
-  c->schedule = cache_.get_shared(src_desc, dst_desc, my_src, my_dst);
+  c->schedule = cache_.get(src_desc, dst_desc, my_src, my_dst);
 
   const ConnectionId id = next_id_++;
   connections_[id] = std::move(c);

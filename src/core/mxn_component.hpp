@@ -177,6 +177,9 @@ class MxNComponent final : public Component, public MxNService {
   MxNComponent(rt::Communicator channel, rt::Communicator cohort, int side,
                Layout layout);
 
+  // Out of line: Connection is complete only inside src/core.
+  ~MxNComponent() override;
+
   // Component
   void set_services(Services& services) override;
 
@@ -204,10 +207,10 @@ class MxNComponent final : public Component, public MxNService {
   bool data_ready_connection(ConnectionId id);
 
   /// Re-shard and budget this component's schedule cache (see
-  /// sched::ScheduleCacheConfig). Connections pin their schedules, so
-  /// eviction under a byte budget never invalidates an established tenant.
-  void configure_schedule_cache(const sched::ScheduleCacheConfig& cfg) {
-    cache_.configure(cfg);
+  /// rt::LruBudget). Connections pin their schedules, so eviction under a
+  /// byte budget never invalidates an established tenant.
+  void configure_schedule_cache(const rt::LruBudget& budget) {
+    cache_.configure(budget);
   }
   [[nodiscard]] sched::ScheduleCache::Stats schedule_cache_stats() const {
     return cache_.stats();

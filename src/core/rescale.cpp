@@ -162,7 +162,7 @@ ConnectionId MxNComponent::establish_elastic(const ConnectionSpec& spec) {
   if (side_ >= 0) {
     const int my_src = c->i_am_src ? cohort_.rank() : -1;
     const int my_dst = c->i_am_dst ? cohort_.rank() : -1;
-    c->schedule = cache_.get_shared(src_desc, dst_desc, my_src, my_dst);
+    c->schedule = cache_.get(src_desc, dst_desc, my_src, my_dst);
   }
 
   const ConnectionId id = next_id_++;
@@ -358,7 +358,7 @@ void MxNComponent::reestablish_connections() {
     if (side_ >= 0) {
       const int my_src = c.i_am_src ? cohort_.rank() : -1;
       const int my_dst = c.i_am_dst ? cohort_.rank() : -1;
-      c.schedule = cache_.get_shared(src_desc, dst_desc, my_src, my_dst);
+      c.schedule = cache_.get(src_desc, dst_desc, my_src, my_dst);
     } else {
       c.schedule = nullptr;
     }

@@ -7,6 +7,7 @@
 
 #include "dad/descriptor.hpp"
 #include "dad/geometry.hpp"
+#include "rt/sharded_lru.hpp"
 
 namespace mxn::linear {
 
@@ -154,18 +155,13 @@ std::vector<OwnedSegment> ownership_map(const dad::Descriptor& desc,
 OwnershipPtr ownership_map_cached(const dad::Descriptor& desc,
                                   const Linearization& lin);
 
-/// Sizing knobs for the process-wide footprint/ownership cache. Defaults
-/// reproduce the historical behaviour: one shard, no bounds. A serving
-/// workload with many live descriptor shapes configures shards (lock
-/// spreading) and budgets; over budget, least-recently-used entries are
-/// evicted (`sched.footprint.evicted`) — returned SegmentsPtr/OwnershipPtr
-/// handles stay valid, eviction only drops the cache's reference.
-struct FootprintCacheConfig {
-  std::size_t shards = 1;       // rounded up to a power of two
-  std::size_t max_entries = 0;  // total entry cap, 0 = unbounded
-  std::size_t max_bytes = 0;    // total byte budget, 0 = unbounded
-};
-void footprint_cache_configure(const FootprintCacheConfig& cfg);
+/// Re-shard and budget the process-wide footprint/ownership cache. The
+/// default budget is one shard, no bounds. A serving workload with many
+/// live descriptor shapes configures shards (lock spreading) and budgets;
+/// over budget, least-recently-used entries are evicted
+/// (`sched.footprint.evicted`) — returned SegmentsPtr/OwnershipPtr handles
+/// stay valid, eviction only drops the cache's reference.
+void footprint_cache_configure(const rt::LruBudget& budget);
 
 struct FootprintCacheStats {
   std::size_t hits = 0;    // footprint_cached outcomes only

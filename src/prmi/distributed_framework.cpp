@@ -477,9 +477,9 @@ bool DistributedFramework::handle_invoke(ConnectionInfo& conn,
       continue;  // args slot stays empty until pulled
     }
     if (takes_input(p.mode)) {
-      const auto& s = cache_.get(caller_descs[k], targets[k]->descriptor,
-                                 -1, j);
-      core::execute_erased(s, nullptr, targets[k], coupling_in,
+      const auto s = cache_.get(caller_descs[k], targets[k]->descriptor,
+                                -1, j);
+      core::execute_erased(*s, nullptr, targets[k], coupling_in,
                            data_in_tag(conn.id, static_cast<int>(k)));
     }
     args[pidx[k]] = ParallelRef{targets[k]};
@@ -515,9 +515,9 @@ bool DistributedFramework::handle_invoke(ConnectionInfo& conn,
       for (int pw : participants)
         world_.send(pw, return_tag(conn.id), bytes);
     }
-    const auto& s =
+    const auto s =
         cache_.get(caller_descs[k], target.descriptor, -1, j);
-    core::execute_erased(s, nullptr, &target, coupling_in,
+    core::execute_erased(*s, nullptr, &target, coupling_in,
                          data_in_tag(conn.id, k));
   };
 
@@ -571,9 +571,9 @@ bool DistributedFramework::handle_invoke(ConnectionInfo& conn,
     for (std::size_t k = 0; k < pidx.size(); ++k) {
       const auto& p = m.params[pidx[k]];
       if (!yields_output(p.mode)) continue;
-      const auto& s = cache_.get(targets[k]->descriptor, caller_descs[k], j,
-                                 -1);
-      core::execute_erased(s, targets[k], nullptr, coupling_out,
+      const auto s = cache_.get(targets[k]->descriptor, caller_descs[k], j,
+                                -1);
+      core::execute_erased(*s, targets[k], nullptr, coupling_out,
                            data_out_tag(conn.id, static_cast<int>(k)));
     }
   }
@@ -879,9 +879,9 @@ RemotePort::Result RemotePort::invoke(MsgKind kind,
         if (!takes_input(p.mode)) continue;
         if (!(*callee_layouts)[k]) continue;  // deferred: pulled mid-call
         const auto* binding = std::get<ParallelRef>(args[pidx[k]]).binding;
-        const auto& s = fw_->cache_.get(binding->descriptor,
-                                        *(*callee_layouts)[k], my, -1);
-        core::execute_erased(s, binding, nullptr, coupling,
+        const auto s = fw_->cache_.get(binding->descriptor,
+                                       *(*callee_layouts)[k], my, -1);
+        core::execute_erased(*s, binding, nullptr, coupling,
                              data_in_tag(conn_, static_cast<int>(k)));
       }
     }
@@ -948,9 +948,9 @@ RemotePort::Result RemotePort::invoke(MsgKind kind,
       const auto* binding = std::get<ParallelRef>(args[pidx.at(k)]).binding;
       auto coupling =
           make_coupling(fw_->world_, participants_world_, conn.callee_ranks);
-      const auto& s =
+      const auto s =
           fw_->cache_.get(binding->descriptor, dst_desc, my, -1);
-      core::execute_erased(s, binding, nullptr, coupling,
+      core::execute_erased(*s, binding, nullptr, coupling,
                            data_in_tag(conn_, k));
     }
   }
@@ -982,9 +982,9 @@ RemotePort::Result RemotePort::invoke(MsgKind kind,
       const auto* binding = std::get<ParallelRef>(args[pidx[k]]).binding;
       // Out/inout parallel params are always Registered (layout fetch
       // enforces it), so the optional holds a descriptor here.
-      const auto& s = fw_->cache_.get(*(*callee_layouts)[k],
-                                      binding->descriptor, -1, my);
-      core::execute_erased(s, nullptr, binding, coupling,
+      const auto s = fw_->cache_.get(*(*callee_layouts)[k],
+                                     binding->descriptor, -1, my);
+      core::execute_erased(*s, nullptr, binding, coupling,
                            data_out_tag(conn_, static_cast<int>(k)));
     }
   }

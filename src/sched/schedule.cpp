@@ -317,6 +317,8 @@ RegionSchedule build_region_schedule(const Descriptor& src,
   switch (path) {
     case BuildPath::Naive:
       return build_naive(src, dst, my_src_rank, my_dst_rank, /*prune=*/true);
+    case BuildPath::Reference:
+      return build_naive(src, dst, my_src_rank, my_dst_rank, /*prune=*/false);
     case BuildPath::Indexed:
       return build_indexed(src, dst, my_src_rank, my_dst_rank);
     case BuildPath::Analytic:
@@ -329,18 +331,6 @@ RegionSchedule build_region_schedule(const Descriptor& src,
       break;  // resolved above
   }
   throw UsageError("unknown schedule build path");
-}
-
-RegionSchedule build_region_schedule(const Descriptor& src,
-                                     const Descriptor& dst, int my_src_rank,
-                                     int my_dst_rank, bool prune) {
-  if (prune)
-    return build_region_schedule(src, dst, my_src_rank, my_dst_rank,
-                                 BuildPath::Auto);
-  static trace::Histogram& build_ns = trace::histogram("sched.build_ns");
-  trace::Span span("sched.build", "sched", 0, &build_ns);
-  check_shapes(src, dst);
-  return build_naive(src, dst, my_src_rank, my_dst_rank, /*prune=*/false);
 }
 
 DeltaSchedule build_delta_schedule(const Descriptor& from,

@@ -219,6 +219,37 @@ TEST(MxNComponent, OneShotTransferMovesField) {
   });
 }
 
+TEST(MxNComponent, PublicConstructorBuildsAWorkingComponent) {
+  // Constructed and destroyed directly, outside src/core: the destructor is
+  // defined where the connection type is complete, so this compiles.
+  auto src_desc = dad::make_regular(std::vector<AxisDist>{
+      AxisDist::block(16, 2), AxisDist::collapsed(3)});
+  auto dst_desc = dad::make_regular(std::vector<AxisDist>{
+      AxisDist::cyclic(16, 2), AxisDist::collapsed(3)});
+  rt::spawn(4, [&](rt::Communicator& world) {
+    const int side = world.rank() < 2 ? 0 : 1;
+    auto cohort = world.split(side, world.rank());
+    core::MxNComponent mxn(world, cohort, side, {0, 1}, {2, 3});
+    dad::DistArray<double> arr(side == 0 ? src_desc : dst_desc,
+                               cohort.rank());
+    if (side == 0) arr.fill(value_at);
+    mxn.register_field(core::make_field(
+        "f", &arr,
+        side == 0 ? core::AccessMode::Read : core::AccessMode::Write));
+
+    core::ConnectionSpec spec;
+    spec.src_field = spec.dst_field = "f";
+    const auto id = mxn.establish(spec);
+    EXPECT_EQ(mxn.data_ready("f"), 1);
+    if (side == 1) {
+      arr.for_each_owned([&](const Point& p, const double& v) {
+        EXPECT_DOUBLE_EQ(v, value_at(p));
+      });
+      EXPECT_EQ(mxn.stats(id).elements, 16u * 3u / 2u);
+    }
+  });
+}
+
 TEST(MxNComponent, PersistentPeriodicTransfers) {
   const int m = 2, n = 2;
   auto src_desc = dad::make_regular(std::vector<AxisDist>{

@@ -259,8 +259,9 @@ TEST(RegionSchedule, PruningIsExact) {
   auto dst = dad::make_regular(std::vector<AxisDist>{
       AxisDist::block_cyclic(16, 3, 2), AxisDist::cyclic(6, 2)});
   for (int r = 0; r < src->nranks(); ++r) {
-    auto a = sched::build_region_schedule(*src, *dst, r, -1, true);
-    auto b = sched::build_region_schedule(*src, *dst, r, -1, false);
+    auto a = sched::build_region_schedule(*src, *dst, r, -1);
+    auto b = sched::build_region_schedule(*src, *dst, r, -1,
+                                          sched::BuildPath::Reference);
     ASSERT_EQ(a.sends.size(), b.sends.size());
     for (std::size_t i = 0; i < a.sends.size(); ++i) {
       EXPECT_EQ(a.sends[i].peer, b.sends[i].peer);
@@ -268,8 +269,9 @@ TEST(RegionSchedule, PruningIsExact) {
     }
   }
   for (int r = 0; r < dst->nranks(); ++r) {
-    auto a = sched::build_region_schedule(*src, *dst, -1, r, true);
-    auto b = sched::build_region_schedule(*src, *dst, -1, r, false);
+    auto a = sched::build_region_schedule(*src, *dst, -1, r);
+    auto b = sched::build_region_schedule(*src, *dst, -1, r,
+                                          sched::BuildPath::Reference);
     ASSERT_EQ(a.recvs.size(), b.recvs.size());
     for (std::size_t i = 0; i < a.recvs.size(); ++i)
       EXPECT_EQ(a.recvs[i].elements, b.recvs[i].elements);
@@ -412,9 +414,9 @@ TEST(ScheduleCache, HitsOnRepeatAndConformingArrays) {
   auto src = dad::make_regular(std::vector<AxisDist>{AxisDist::block(24, 2)});
   auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
   sched::ScheduleCache cache;
-  const auto& s1 = cache.get(src, dst, 0, -1);
-  const auto& s2 = cache.get(src, dst, 0, -1);
-  EXPECT_EQ(&s1, &s2);
+  const auto s1 = cache.get(src, dst, 0, -1);
+  const auto s2 = cache.get(src, dst, 0, -1);
+  EXPECT_EQ(s1, s2);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
 
@@ -456,12 +458,13 @@ TEST(ScheduleCache, CacheHitReturnsFastPathSchedule) {
   auto dst = dad::make_regular(std::vector<AxisDist>{
       AxisDist::block(60, 2), AxisDist::block_cyclic(20, 2, 3)});
   sched::ScheduleCache cache;
-  const auto& built = cache.get(src, dst, 2, 1);
-  const auto& again = cache.get(src, dst, 2, 1);
-  EXPECT_EQ(&built, &again);
+  const auto handle = cache.get(src, dst, 2, 1);
+  EXPECT_EQ(cache.get(src, dst, 2, 1), handle);
   EXPECT_EQ(cache.hits(), 1u);
+  const sched::RegionSchedule& built = *handle;
 
-  const auto ref = sched::build_region_schedule(*src, *dst, 2, 1, false);
+  const auto ref = sched::build_region_schedule(*src, *dst, 2, 1,
+                                                sched::BuildPath::Reference);
   ASSERT_EQ(built.sends.size(), ref.sends.size());
   ASSERT_EQ(built.recvs.size(), ref.recvs.size());
   for (std::size_t k = 0; k < ref.sends.size(); ++k) {
@@ -515,13 +518,13 @@ TEST(ScheduleCache, CachedScheduleServesEveryConformingArray) {
     if (md >= 0) b = std::make_unique<dad::DistArray<double>>(dst, md);
 
     sched::ScheduleCache cache;
-    sched::execute<double>(cache.get(src, dst, ms, md), a1.get(), b.get(), c,
+    sched::execute<double>(*cache.get(src, dst, ms, md), a1.get(), b.get(), c,
                            11);
     if (md >= 0)
       b->for_each_owned([](const Point& p, const double& v) {
         EXPECT_DOUBLE_EQ(v, double(p[0]));
       });
-    sched::execute<double>(cache.get(src, dst, ms, md), a2.get(), b.get(), c,
+    sched::execute<double>(*cache.get(src, dst, ms, md), a2.get(), b.get(), c,
                            12);
     if (md >= 0)
       b->for_each_owned([](const Point& p, const double& v) {
@@ -573,7 +576,7 @@ TEST(ScheduleCache, ClearResetsTallies) {
 }
 
 TEST(ScheduleCache, EntryCapEvictsLeastRecentlyUsed) {
-  sched::ScheduleCacheConfig cfg;
+  rt::LruBudget cfg;
   cfg.max_entries = 2;
   sched::ScheduleCache cache(cfg);
   auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
@@ -603,7 +606,7 @@ TEST(ScheduleCache, ByteBudgetBoundsResidency) {
   const std::size_t per_entry = probe.bytes();
   ASSERT_GT(per_entry, 0u);
 
-  sched::ScheduleCacheConfig cfg;
+  rt::LruBudget cfg;
   cfg.max_bytes = 3 * per_entry + per_entry / 2;
   sched::ScheduleCache cache(cfg);
   for (int i = 0; i < 8; ++i) cache.get(tenant_desc(i), dst, 0, -1);
@@ -612,13 +615,13 @@ TEST(ScheduleCache, ByteBudgetBoundsResidency) {
   EXPECT_LT(cache.size(), 8u);
 }
 
-TEST(ScheduleCache, GetSharedPinsScheduleAcrossEviction) {
-  sched::ScheduleCacheConfig cfg;
+TEST(ScheduleCache, HandlePinsScheduleAcrossEviction) {
+  rt::LruBudget cfg;
   cfg.max_entries = 1;
   sched::ScheduleCache cache(cfg);
   auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
 
-  auto pinned = cache.get_shared(tenant_desc(0), dst, 0, -1);
+  auto pinned = cache.get(tenant_desc(0), dst, 0, -1);
   const std::size_t messages = pinned->message_count();
   cache.get(tenant_desc(1), dst, 0, -1);  // evicts tenant 0's entry
   cache.get(tenant_desc(2), dst, 0, -1);  // evicts tenant 1's entry
@@ -636,7 +639,7 @@ TEST(ScheduleCache, ConfigureReshardsWithoutLosingEntries) {
   EXPECT_EQ(cache.size(), 6u);
   const std::size_t bytes = cache.bytes();
 
-  sched::ScheduleCacheConfig cfg;
+  rt::LruBudget cfg;
   cfg.shards = 4;  // unbounded, just spread
   cache.configure(cfg);
   EXPECT_EQ(cache.size(), 6u);
@@ -648,12 +651,12 @@ TEST(ScheduleCache, ConfigureReshardsWithoutLosingEntries) {
 }
 
 TEST(ScheduleCache, ConcurrentLookupsAndRetirementStayExact) {
-  // TSan-covered: many tenant threads hammer get()/get_shared() across a
-  // sharded, budgeted cache while another thread advances the epoch and
-  // retires old generations. The tallies must stay exact: every lookup is
-  // either a hit or a miss (builds run inside the shard lock), regardless
-  // of interleaving with eviction and retirement.
-  sched::ScheduleCacheConfig cfg;
+  // TSan-covered: many tenant threads hammer get() across a sharded,
+  // budgeted cache while another thread advances the epoch and retires old
+  // generations. The tallies must stay exact: every lookup is a hit, a miss
+  // or a lost build race (builds run outside the shard lock), regardless of
+  // interleaving with eviction and retirement.
+  rt::LruBudget cfg;
   cfg.shards = 4;
   cfg.max_entries = 16;
   sched::ScheduleCache cache(cfg);
@@ -679,7 +682,7 @@ TEST(ScheduleCache, ConcurrentLookupsAndRetirementStayExact) {
   for (int t = 0; t < kThreads; ++t) {
     tenants.emplace_back([&, t] {
       for (int i = 0; i < kLookups; ++i) {
-        auto s = cache.get_shared(descs[(t * 7 + i) % kKeys], dst, 0, -1);
+        auto s = cache.get(descs[(t * 7 + i) % kKeys], dst, 0, -1);
         EXPECT_GT(s->message_count(), 0u);
       }
     });
@@ -688,6 +691,34 @@ TEST(ScheduleCache, ConcurrentLookupsAndRetirementStayExact) {
   stop.store(true);
   retirer.join();
 
-  EXPECT_EQ(cache.hits() + cache.misses(),
+  EXPECT_EQ(cache.hits() + cache.misses() + cache.races(),
             static_cast<std::size_t>(kThreads) * kLookups);
+}
+
+TEST(ScheduleCache, ConcurrentColdLookupsCountOneMissRestRacesOrHits) {
+  // TSan-covered: N threads look up one cold key at once. Builds run outside
+  // the shard lock, so several may build; exactly one insert wins (the
+  // miss), every other lookup either hit the winner's entry or lost the
+  // insert race — and all of them hold the one cached schedule.
+  auto src = tenant_desc(3);
+  auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
+  sched::ScheduleCache cache;
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::shared_ptr<const sched::RegionSchedule>> out(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {}  // start line: maximize the race
+      out[t] = cache.get(src, dst, 0, -1);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits() + cache.races(),
+            static_cast<std::size_t>(kThreads) - 1);
+  EXPECT_EQ(cache.size(), 1u);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(out[t], out[0]);
 }

@@ -180,7 +180,8 @@ TEST(ScheduleDiff, AllPathsMatchNaiveReferenceAcrossRandomSweep) {
           const int ms = r < co.m ? r : -1;
           const int md = r < co.n ? r : -1;
           const auto ref =
-              sched::build_region_schedule(*src, *dst, ms, md, false);
+              sched::build_region_schedule(*src, *dst, ms, md,
+                                           sched::BuildPath::Reference);
           expect_identical(sched::build_region_schedule(
                                *src, *dst, ms, md, sched::BuildPath::Naive),
                            ref, tag + " [naive+prune r" + std::to_string(r));
@@ -616,7 +617,7 @@ TEST(FootprintCache, BudgetEvictsButHandlesStayValid) {
   const auto l = lin::Linearization::row_major(1, Point{512, 0, 0, 0});
 
   lin::footprint_cache_clear();
-  lin::FootprintCacheConfig cfg;
+  mxn::rt::LruBudget cfg;
   cfg.shards = 2;
   cfg.max_entries = 8;
   lin::footprint_cache_configure(cfg);
@@ -633,6 +634,6 @@ TEST(FootprintCache, BudgetEvictsButHandlesStayValid) {
     EXPECT_EQ(lin::total_length(*held[r]), 512 / 32);
   }
 
-  lin::footprint_cache_configure(lin::FootprintCacheConfig{});
+  lin::footprint_cache_configure(mxn::rt::LruBudget{});
   lin::footprint_cache_clear();
 }

@@ -149,8 +149,8 @@ TEST_F(TraceTest, ChromeTraceExportParsesAndContainsExpectedSpans) {
     if (md >= 0) b = std::make_unique<dad::DistArray<double>>(dst, md);
     sched::ScheduleCache cache;
     for (int rep = 0; rep < 2; ++rep) {
-      const auto& s = cache.get(src, dst, ms, md);
-      sched::execute<double>(s, a.get(), b.get(), c, 9);
+      const auto s = cache.get(src, dst, ms, md);
+      sched::execute<double>(*s, a.get(), b.get(), c, 9);
     }
     world.barrier();
   });
